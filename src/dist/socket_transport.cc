@@ -1,8 +1,10 @@
 #include "dist/socket_transport.h"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -377,8 +379,13 @@ void SocketTransport::ReapShard(int32_t i) {
       ex.term_signal = WTERMSIG(status);
     }
   };
-  auto wait_for = [pid, &ex, &record](int millis) {
-    for (int waited = 0; waited < millis; waited += 10) {
+  // Each rung blocks on a pidfd, which turns readable the moment the child
+  // exits; where pidfd_open is unavailable it naps 10 ms between checks.
+  net::Socket pidfd(static_cast<int>(syscall(SYS_pidfd_open, pid, 0)));
+  auto wait_for = [pid, &ex, &record, &pidfd](int millis) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(millis);
+    for (;;) {
       int status = 0;
       pid_t r = waitpid(pid, &status, WNOHANG);
       if (r == pid) {
@@ -393,9 +400,14 @@ void SocketTransport::ReapShard(int32_t i) {
         ex.exit_code = 0;
         return true;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      if (left <= 0) return false;
+      pollfd pfd{pidfd.fd(), POLLIN, 0};
+      poll(&pfd, 1, pidfd.valid() ? static_cast<int>(left)
+                                  : static_cast<int>(std::min<int64_t>(left, 10)));
     }
-    return false;
   };
   if (wait_for(2000)) return;
   ex.forced_term = true;

@@ -16,10 +16,8 @@ Jecb::Jecb(JecbOptions options) : options_(std::move(options)) {
   options_.class_partitioner.num_partitions = options_.num_partitions;
   options_.class_partitioner.incremental = options_.delta;
   options_.combiner.num_partitions = options_.num_partitions;
-  options_.combiner.delta = options_.delta;
   options_.combiner.scan_kernel =
       options_.simd ? ScanKernel::kAuto : ScanKernel::kScalar;
-  options_.combiner.delta_self_check = options_.delta_self_check;
 }
 
 Result<JecbResult> Jecb::Partition(Database* db,

@@ -32,16 +32,14 @@ struct JecbOptions {
   /// with the resolve-once evaluator. Results are bit-identical to the
   /// row-oriented path (false), which is kept for comparison benchmarks.
   bool columnar = true;
-  /// Incremental Phase-3 scoring (CombinerOptions::delta; needs `columnar`).
-  /// Bit-identical results — only the time per scored combination changes.
+  /// Incremental Phase-2 search (ClassPartitionerOptions::incremental plus
+  /// the per-class foreign-key hop memo; needs `columnar`). Bit-identical
+  /// results — only the time per enumerated tree changes.
   bool delta = true;
   /// Allow the SIMD partition-scan kernels (partition_scan.h). false pins
   /// the scalar kernel; true picks the best kernel the CPU supports at run
   /// time. Every kernel is bit-identical to scalar.
   bool simd = true;
-  /// Re-prove delta == full on every scored combination (aborts on
-  /// divergence). For tests; defeats the delta speedup.
-  bool delta_self_check = false;
   ClassifyOptions classify;
   JoinGraphOptions join_graph;
   ClassPartitionerOptions class_partitioner;

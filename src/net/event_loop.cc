@@ -1,6 +1,8 @@
 #include "net/event_loop.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <vector>
@@ -37,9 +39,18 @@ void RaiseStopFlag() { g_stop_flag.store(1, std::memory_order_relaxed); }
 void ClearStopFlag() { g_stop_flag.store(0, std::memory_order_relaxed); }
 bool StopFlagRaised() { return g_stop_flag.load(std::memory_order_relaxed) != 0; }
 
-EventLoop::EventLoop(Socket listener) : listener_(std::move(listener)) {
+EventLoop::EventLoop(Socket listener)
+    : listener_(std::move(listener)), wake_(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
   // The loop multiplexes with poll(); reads must never block it.
   SetNonBlocking(listener_, true);
+}
+
+void EventLoop::RequestStop() {
+  stop_requested_.store(true, std::memory_order_relaxed);
+  // Without an eventfd (creation failed) poll() ignores the -1 entry and
+  // the stop is seen within one poll timeout instead.
+  const uint64_t one = 1;
+  if (wake_.valid()) (void)!write(wake_.fd(), &one, sizeof(one));
 }
 
 bool EventLoop::stopped() const {
@@ -112,6 +123,8 @@ bool EventLoop::PollOnce(int64_t focus) {
   if (stopped()) return false;
   std::vector<pollfd> fds;
   std::vector<int64_t> ids;  // ids[i] corresponds to fds[i]; -1 = listener
+  fds.push_back({wake_.fd(), POLLIN, 0});
+  ids.push_back(-2);  // readable only once stopped: the next PollOnce returns
   if (focus < 0) {
     fds.push_back({listener_.fd(), POLLIN, 0});
     ids.push_back(-1);
@@ -128,7 +141,9 @@ bool EventLoop::PollOnce(int64_t focus) {
   int n = poll(fds.data(), fds.size(), kPollTimeoutMs);
   if (n <= 0) return !stopped();  // timeout or EINTR: let the caller re-check
   for (size_t i = 0; i < fds.size(); ++i) {
-    if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0 || ids[i] == -2) {
+      continue;
+    }
     if (ids[i] < 0) {
       // Accept everything pending; new peers start reading next iteration.
       for (;;) {

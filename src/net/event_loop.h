@@ -33,9 +33,11 @@
 // a reconnect: the old connection's queue dies with its Peer.
 //
 // Stop conditions: RequestStop() (atomic, callable from another thread — the
-// shard's exchange node is stopped this way) or the process-wide stop flag
-// (async-signal-safe; see InstallStopSignalHandler) — both make Next()
-// return false after at most one poll timeout.
+// shard's exchange node is stopped this way; it also signals an eventfd the
+// loop polls next to its sockets, so a blocked poll() returns at once) or
+// the process-wide stop flag (async-signal-safe; see
+// InstallStopSignalHandler; observed within one poll timeout) — both make
+// Next() return false.
 #pragma once
 
 #include <atomic>
@@ -103,10 +105,10 @@ class EventLoop {
   void Send(int64_t peer, MsgType type, uint64_t seq, std::string_view payload);
 
   void ClosePeer(int64_t peer);
-  /// Safe to call from another thread: the owning thread observes it within
-  /// one poll timeout. Joining that thread afterwards is the happens-before
-  /// edge that makes its stats() safe to read.
-  void RequestStop() { stop_requested_.store(true, std::memory_order_relaxed); }
+  /// Safe to call from another thread: wakes the owning thread's poll(), so
+  /// it observes the stop at once. Joining that thread afterwards is the
+  /// happens-before edge that makes its stats() safe to read.
+  void RequestStop();
   bool stopped() const;
 
   const EventLoopStats& stats() const { return stats_; }
@@ -128,6 +130,7 @@ class EventLoop {
   bool PopReady(int64_t focus, int64_t* peer, Frame* frame);
 
   Socket listener_;
+  Socket wake_;  ///< eventfd RequestStop signals; never drained (stop is final)
   std::map<int64_t, Peer> peers_;
   int64_t next_peer_id_ = 1;
   std::atomic<bool> stop_requested_{false};

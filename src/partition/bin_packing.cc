@@ -39,11 +39,11 @@ class RemappedPartitioner : public TablePartitioner {
                       std::shared_ptr<const std::vector<int32_t>> packing)
       : inner_(std::move(inner)), packing_(std::move(packing)) {}
 
+  int32_t Resolve(const Database& db, TupleId tuple) const override {
+    return Remap(inner_->Resolve(db, tuple));
+  }
   int32_t PartitionOf(const Database& db, TupleId tuple) const override {
-    int32_t p = inner_->PartitionOf(db, tuple);
-    if (p < 0) return p;  // replicated / unknown pass through
-    if (static_cast<size_t>(p) >= packing_->size()) return kUnknownPartition;
-    return (*packing_)[p];
+    return Remap(inner_->PartitionOf(db, tuple));
   }
 
   std::string Describe(const Schema& schema) const override {
@@ -51,6 +51,12 @@ class RemappedPartitioner : public TablePartitioner {
   }
 
  private:
+  int32_t Remap(int32_t p) const {
+    if (p < 0) return p;  // replicated / unknown pass through
+    if (static_cast<size_t>(p) >= packing_->size()) return kUnknownPartition;
+    return (*packing_)[p];
+  }
+
   std::shared_ptr<const TablePartitioner> inner_;
   std::shared_ptr<const std::vector<int32_t>> packing_;
 };

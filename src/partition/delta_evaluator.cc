@@ -235,30 +235,4 @@ EvalResult DeltaEvaluator::EvaluateCandidate(
   return out;
 }
 
-std::vector<TableId> DeltaEvaluator::DiffTables(const DatabaseSolution& a,
-                                                const DatabaseSolution& b) {
-  std::vector<TableId> changed;
-  const size_t n = std::max(a.num_tables(), b.num_tables());
-  for (size_t t = 0; t < n; ++t) {
-    const TablePartitioner* pa = t < a.num_tables() ? a.Get(static_cast<TableId>(t)) : nullptr;
-    const TablePartitioner* pb = t < b.num_tables() ? b.Get(static_cast<TableId>(t)) : nullptr;
-    if (pa == pb) continue;  // same object, or both unset
-    // Null means replicated (DatabaseSolution::PartitionOf), so null and
-    // ReplicatedTable are interchangeable.
-    const bool ra = pa == nullptr || dynamic_cast<const ReplicatedTable*>(pa) != nullptr;
-    const bool rb = pb == nullptr || dynamic_cast<const ReplicatedTable*>(pb) != nullptr;
-    if (ra && rb) continue;
-    if (!ra && !rb) {
-      const auto* ja = dynamic_cast<const JoinPathPartitioner*>(pa);
-      const auto* jb = dynamic_cast<const JoinPathPartitioner*>(pb);
-      if (ja != nullptr && jb != nullptr && ja->path() == jb->path() &&
-          &ja->mapping() == &jb->mapping()) {
-        continue;  // same path and the same mapping object: identical placement
-      }
-    }
-    changed.push_back(static_cast<TableId>(t));
-  }
-  return changed;
-}
-
 }  // namespace jecb

@@ -1,8 +1,9 @@
 // Incremental (delta) candidate scoring for the search hot loop.
 //
-// Phase-3 combination scoring and the Horticulture LNS evaluate thousands
-// of candidate solutions per search, and a candidate almost always differs
-// from the incumbent in the partitioner of one or two tables. Re-running
+// The Horticulture LNS evaluates thousands of candidate solutions per
+// search, and a candidate differs from the incumbent in the partitioner of
+// one table. (JECB's Phase 3 scores few combinations per attribute, each
+// with a full Evaluate: there a rebase costs as much as it saves.) Re-running
 // Evaluate() per candidate re-resolves the whole tuple dictionary and
 // re-scans every transaction; the delta evaluator instead keeps the
 // incumbent ("base") fully evaluated — its resolved per-dictionary
@@ -17,9 +18,8 @@
 // 3 is exact and reversible (EvalResult::Subtract is the inverse of Merge):
 // the returned EvalResult is bit-identical to a full Evaluate() of the
 // candidate, at any thread count and with any scan kernel. That identity is
-// the whole contract — callers (the combiner's strict-improvement
-// reduction, the LNS accept rule) never see a different number than the
-// full rescan would produce, so search trajectories cannot drift.
+// the whole contract — the LNS accept rule never sees a different number
+// than the full rescan would produce, so search trajectories cannot drift.
 // set_self_check(true) re-proves it on every candidate against the full
 // evaluator (tests and parity benches run with it on).
 //
@@ -60,8 +60,6 @@ class DeltaEvaluator {
   /// against concurrent EvaluateCandidate calls.
   const EvalResult& Rebase(const DatabaseSolution& base);
 
-  bool has_base() const { return base_.has_value(); }
-  const EvalResult& base_result() const { return base_result_; }
 
   /// Exact EvalResult of `candidate`, which must differ from the base only
   /// in the partitioners of `changed_tables` (listing extra tables is
@@ -81,13 +79,6 @@ class DeltaEvaluator {
   /// continuously. Meant for tests and parity benches (it defeats the
   /// speedup, not the correctness).
   void set_self_check(bool on) { self_check_ = on; }
-
-  /// Tables whose partitioners structurally differ between two solutions
-  /// (null and ReplicatedTable compare equal; JoinPathPartitioners compare
-  /// by path and mapping identity; any other pair of distinct objects is
-  /// conservatively "changed"). Both solutions must cover the same tables.
-  static std::vector<TableId> DiffTables(const DatabaseSolution& a,
-                                         const DatabaseSolution& b);
 
  private:
   struct Scratch {

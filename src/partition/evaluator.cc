@@ -148,10 +148,12 @@ double CoordinationExposure(const EvalResult& result,
   return result.cost() * per_txn;
 }
 
-/// Resolve-once pass: PartitionOf for every tuple of the dictionary, into a
-/// flat array indexed by PackedAccess::tuple_index(). Each slot is written
-/// by exactly one chunk and the value is a pure function of the tuple, so
-/// the array's contents never depend on thread count.
+/// Resolve-once pass: the partition of every tuple of the dictionary, into a
+/// flat array indexed by PackedAccess::tuple_index(). The dictionary holds
+/// each tuple once, so a per-tuple memo could never hit here: slots go
+/// through the memo-free TablePartitioner::Resolve. Each slot is written by
+/// exactly one chunk and the value is a pure function of the tuple, so the
+/// array's contents never depend on thread count.
 std::vector<int32_t> ResolvePartitions(const Database& db,
                                        const DatabaseSolution& solution,
                                        const FlatTrace& trace, ThreadPool* pool) {
@@ -159,7 +161,7 @@ std::vector<int32_t> ResolvePartitions(const Database& db,
   std::vector<int32_t> part(n);
   auto resolve_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      part[i] = solution.PartitionOf(db, trace.tuple(static_cast<uint32_t>(i)));
+      part[i] = solution.Resolve(db, trace.tuple(static_cast<uint32_t>(i)));
     }
   };
   if (pool == nullptr || pool->num_threads() <= 1 || n < 2) {

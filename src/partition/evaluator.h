@@ -101,14 +101,15 @@ double CoordinationExposure(const EvalResult& result,
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
                     const Trace& trace, ThreadPool* pool = nullptr);
 
-/// Columnar resolve-once evaluation. `PartitionOf` is materialized exactly
-/// once per distinct tuple of the trace's dictionary (a flat int32 array,
-/// resolved in parallel chunks), then the per-transaction accounting runs
-/// as a branch-light scan over the SoA access arrays — chunked and merged
-/// exactly like the Trace overload. Because PartitionOf is a pure function
-/// of the tuple, every EvalResult field is bit-identical to the row-oriented
-/// path at any thread count. `kernel` picks the partition-scan kernel
-/// (partition_scan.h); every kernel is bit-identical to kScalar.
+/// Columnar resolve-once evaluation. Each distinct tuple of the trace's
+/// dictionary is resolved exactly once (TablePartitioner::Resolve, no memo,
+/// into a flat int32 array, in parallel chunks), then the per-transaction
+/// accounting runs as a branch-light scan over the SoA access arrays —
+/// chunked and merged exactly like the Trace overload. Because a tuple's
+/// partition is a pure function of the tuple, every EvalResult field is
+/// bit-identical to the row-oriented path at any thread count. `kernel`
+/// picks the partition-scan kernel (partition_scan.h); every kernel is
+/// bit-identical to kScalar.
 EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
                     const FlatTrace& trace, ThreadPool* pool = nullptr,
                     ScanKernel kernel = ScanKernel::kAuto);
@@ -122,10 +123,11 @@ EvalResult Evaluate(const Database& db, const DatabaseSolution& solution,
                     ScanKernel kernel = ScanKernel::kAuto);
 
 /// The resolve pass of the columnar evaluator, exposed for callers that
-/// reuse the array across many scans (the delta evaluator): PartitionOf of
-/// every tuple of the trace's dictionary, indexed by
-/// PackedAccess::tuple_index(). Each slot is a pure function of its tuple,
-/// so the contents never depend on thread count.
+/// reuse the array across many scans (the delta evaluator): the memo-free
+/// DatabaseSolution::Resolve of every tuple of the trace's dictionary,
+/// indexed by PackedAccess::tuple_index(), equal slot for slot to
+/// PartitionOf. Each slot is a pure function of its tuple, so the contents
+/// never depend on thread count.
 std::vector<int32_t> ResolvePartitions(const Database& db,
                                        const DatabaseSolution& solution,
                                        const FlatTrace& trace,

@@ -2,11 +2,9 @@
 
 namespace jecb {
 
-int32_t JoinPathPartitioner::PartitionOf(const Database& db, TupleId tuple) const {
-  return cache_.GetOrCompute(tuple, [&](TupleId t) {
-    Result<Value> v = path_.Evaluate(db, t);
-    return v.ok() ? mapping_->Map(v.value()) : kUnknownPartition;
-  });
+int32_t JoinPathPartitioner::Resolve(const Database& db, TupleId tuple) const {
+  Result<Value> v = path_.Evaluate(db, tuple);
+  return v.ok() ? mapping_->Map(v.value()) : kUnknownPartition;
 }
 
 std::string JoinPathPartitioner::Describe(const Schema& schema) const {

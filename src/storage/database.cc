@@ -95,8 +95,9 @@ Result<TupleId> Database::FollowForeignKey(const ForeignKey& fk, TupleId from) c
     return Status::InvalidArgument("tuple is not in the FK's child table");
   }
   const TableData& child = data_[fk.table];
-  Row key;
-  key.reserve(fk.columns.size());
+  // Reused per thread, so a hop allocates no key Row once the buffer is warm.
+  thread_local Row key;
+  key.clear();
   for (ColumnIdx c : fk.columns) key.push_back(child.At(from.row, c));
   const TableData& parent = data_[fk.ref_table];
   JECB_ASSIGN_OR_RETURN(RowId rid, parent.LookupUnique(fk.ref_columns, key));

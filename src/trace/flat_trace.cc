@@ -1,6 +1,6 @@
 #include "trace/flat_trace.h"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace jecb {
 
@@ -8,26 +8,39 @@ FlatTrace FlatTrace::FromTrace(const Trace& trace) {
   FlatTrace out;
   out.class_names_ = trace.class_names();
 
+  // First pass: the access count, and per table the extent of its intern
+  // array (largest touched row id + 1).
   size_t total_accesses = 0;
+  std::vector<size_t> extent;
   for (const Transaction& t : trace.transactions()) {
     total_accesses += t.accesses.size();
+    for (const Access& a : t.accesses) {
+      if (a.tuple.table >= extent.size()) extent.resize(a.tuple.table + size_t{1}, 0);
+      extent[a.tuple.table] =
+          std::max(extent[a.tuple.table], static_cast<size_t>(a.tuple.row) + 1);
+    }
   }
   out.accesses_.reserve(total_accesses);
   out.txn_offset_.reserve(trace.size() + 1);
   out.txn_class_.reserve(trace.size());
 
-  std::unordered_map<TupleId, uint32_t, TupleIdHash> intern;
-  intern.reserve(total_accesses / 4 + 16);
+  // Dense intern arrays: dictionary index per (table, row), kAbsent until
+  // first touched. Row ids are storage positions, so an array costs four
+  // bytes per row of its table, not per distinct tuple.
+  constexpr uint32_t kAbsent = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> intern(extent.size());
+  for (size_t t = 0; t < extent.size(); ++t) intern[t].assign(extent[t], kAbsent);
 
   out.txn_offset_.push_back(0);
   for (const Transaction& t : trace.transactions()) {
     out.txn_class_.push_back(t.class_id);
     for (const Access& a : t.accesses) {
-      auto [it, inserted] =
-          intern.emplace(a.tuple, static_cast<uint32_t>(out.tuples_.size()));
-      if (inserted) out.tuples_.push_back(a.tuple);
-      out.accesses_.push_back(
-          {it->second | (a.write ? PackedAccess::kWriteBit : 0u)});
+      uint32_t& index = intern[a.tuple.table][a.tuple.row];
+      if (index == kAbsent) {
+        index = static_cast<uint32_t>(out.tuples_.size());
+        out.tuples_.push_back(a.tuple);
+      }
+      out.accesses_.push_back({index | (a.write ? PackedAccess::kWriteBit : 0u)});
     }
     out.txn_offset_.push_back(static_cast<uint32_t>(out.accesses_.size()));
   }

@@ -55,8 +55,8 @@ struct PackedAccess {
 class FlatTrace {
  public:
   /// Converts a row-oriented trace: interns every distinct TupleId into the
-  /// dictionary (first-touch order, so the layout is deterministic) and
-  /// packs the accesses contiguously.
+  /// dictionary (first-touch order, so the layout is deterministic; through
+  /// per-table arrays indexed by RowId) and packs the accesses contiguously.
   static FlatTrace FromTrace(const Trace& trace);
 
   size_t size() const { return txn_class_.size(); }

@@ -234,7 +234,6 @@ TEST(DeltaPipelineTest, JecbTpccDeterministicAcrossThreadsAndModes) {
     opt.num_threads = threads;
     opt.delta = delta;
     opt.simd = simd;
-    opt.delta_self_check = delta;  // prove the identity on every combination
     Result<JecbResult> res =
         Jecb(opt).Partition(bundle.db.get(), bundle.procedures, bundle.trace);
     EXPECT_TRUE(res.ok()) << res.status().ToString();

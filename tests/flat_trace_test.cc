@@ -1,12 +1,15 @@
 // Parity contract of the columnar pipeline: FlatTrace/TraceView must mirror
-// the row-oriented Trace helpers exactly, the resolve-once Evaluate must be
+// the row-oriented Trace helpers exactly, FlatTrace's dense dictionary must
+// equal a hash-map interner's, the resolve-once Evaluate must be
 // bit-identical to the legacy evaluator at every thread count, the shared
 // JoinPathResolver must return the same values as direct path evaluation,
 // and Jecb::Partition must produce the same solution with columnar on/off.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -19,6 +22,7 @@
 #include "workloads/synthetic.h"
 #include "workloads/tatp.h"
 #include "workloads/tpcc.h"
+#include "workloads/tpce.h"
 
 namespace jecb {
 namespace {
@@ -64,6 +68,92 @@ TEST(FlatTraceTest, FromTracePreservesAccessesClassesAndWriteBits) {
   ASSERT_EQ(acc2.size(), 1u);
   EXPECT_EQ(acc2[0].tuple_index(), 1u);
   EXPECT_TRUE(acc2[0].write());
+}
+
+// ---- Dictionary identity -------------------------------------------------
+
+/// The columnar image built with a hash-map interner — the reference the
+/// dense per-table intern arrays of FromTrace must reproduce exactly.
+struct ReferenceFlat {
+  std::vector<TupleId> tuples;
+  std::vector<uint32_t> access_bits;
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> classes;
+};
+
+ReferenceFlat ReferenceIntern(const Trace& trace) {
+  ReferenceFlat out;
+  std::unordered_map<TupleId, uint32_t, TupleIdHash> intern;
+  out.offsets.push_back(0);
+  for (const Transaction& t : trace.transactions()) {
+    out.classes.push_back(t.class_id);
+    for (const Access& a : t.accesses) {
+      auto [it, inserted] =
+          intern.emplace(a.tuple, static_cast<uint32_t>(out.tuples.size()));
+      if (inserted) out.tuples.push_back(a.tuple);
+      out.access_bits.push_back(it->second |
+                                (a.write ? PackedAccess::kWriteBit : 0u));
+    }
+    out.offsets.push_back(out.access_bits.size());
+  }
+  return out;
+}
+
+void ExpectMatchesReferenceInterner(const Trace& trace) {
+  const FlatTrace flat = FlatTrace::FromTrace(trace);
+  const ReferenceFlat ref = ReferenceIntern(trace);
+  EXPECT_EQ(flat.tuples(), ref.tuples);
+  ASSERT_EQ(flat.size(), ref.classes.size());
+  std::vector<uint32_t> access_bits;
+  std::vector<size_t> offsets = {0};
+  std::vector<uint32_t> classes;
+  const PackedAccess* base = flat.size() > 0 ? flat.accesses(0).data() : nullptr;
+  for (uint32_t i = 0; i < flat.size(); ++i) {
+    classes.push_back(flat.class_of(i));
+    std::span<const PackedAccess> acc = flat.accesses(i);
+    EXPECT_EQ(static_cast<size_t>(acc.data() - base), offsets.back()) << "txn " << i;
+    for (PackedAccess a : acc) access_bits.push_back(a.bits);
+    offsets.push_back(static_cast<size_t>(acc.data() + acc.size() - base));
+  }
+  EXPECT_EQ(access_bits, ref.access_bits);
+  EXPECT_EQ(offsets, ref.offsets);
+  EXPECT_EQ(classes, ref.classes);
+  EXPECT_EQ(flat.num_accesses(), ref.access_bits.size());
+}
+
+TEST(FlatTraceTest, DictionaryMatchesReferenceInternerOnSparseRows) {
+  // Tables 1, 3 and 4 are never touched; rows are sparse and large; tuples
+  // repeat within one transaction and across transactions; one transaction
+  // is empty.
+  Trace trace;
+  const uint32_t a = trace.InternClass("A");
+  const uint32_t b = trace.InternClass("B");
+  Transaction t1;
+  t1.class_id = a;
+  t1.Read({5, 1u << 20});
+  t1.Write({2, 3});
+  t1.Read({5, 1u << 20});
+  t1.Write({5, 1u << 20});
+  t1.Read({0, 0});
+  trace.Add(std::move(t1));
+  Transaction empty;
+  empty.class_id = b;
+  trace.Add(std::move(empty));
+  Transaction t3;
+  t3.class_id = b;
+  t3.Write({2, 999'999});
+  t3.Read({2, 3});
+  t3.Read({0, 77'777});
+  t3.Read({0, 0});
+  t3.Write({2, 999'999});
+  trace.Add(std::move(t3));
+  ExpectMatchesReferenceInterner(trace);
+  EXPECT_EQ(FlatTrace::FromTrace(trace).num_tuples(), 5u);
+}
+
+TEST(FlatTraceTest, DictionaryMatchesReferenceInternerOnBenchmarks) {
+  ExpectMatchesReferenceInterner(TpccWorkload().Make(3000, 13).trace);
+  ExpectMatchesReferenceInterner(TpceWorkload().Make(3000, 13).trace);
 }
 
 // A view and a legacy Trace describe the same workload when every selected
