@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <random>
 
 #include "common/thread_pool.h"
@@ -100,29 +99,20 @@ Result<HorticultureResult> Horticulture::Partition(Database* db,
     pool = std::make_unique<ThreadPool>(options_.num_threads);
   }
 
-  // Incremental scoring state: the incumbent design stays fully evaluated in
-  // the delta evaluator; trials (one changed table) rescan only that table's
-  // affected transactions. `base_design` tracks which design the evaluator
-  // is rebased on so unchanged incumbents skip the re-evaluation entirely.
-  std::optional<FlatTrace> flat;
-  std::optional<DeltaEvaluator> delta_eval;
-  Design base_design;
-  if (options_.delta) {
-    flat.emplace(FlatTrace::FromTrace(sample));
-    delta_eval.emplace(db, &*flat, pool.get(), options_.scan_kernel);
-    delta_eval->set_self_check(options_.delta_self_check);
-  }
+  // Incremental scoring (delta_evaluator.h): the incumbent design stays fully
+  // evaluated in the delta evaluator; trials (one changed table) rescan only
+  // that table's affected transactions. Each trial's EvalResult is
+  // bit-identical to a full Evaluate of it. `base_design` tracks which design the evaluator is rebased on so
+  // unchanged incumbents skip the re-evaluation entirely.
+  const FlatTrace flat = FlatTrace::FromTrace(sample);
+  DeltaEvaluator delta_eval(db, &flat, pool.get());
+  delta_eval.set_self_check(options_.delta_self_check);
+  Design base_design = design;
 
   double best_plain = 0.0;
   double best_cost = 0.0;
   {
-    EvalResult ev;
-    if (delta_eval.has_value()) {
-      ev = delta_eval->Rebase(materialize(design));
-      base_design = design;
-    } else {
-      ev = Evaluate(*db, materialize(design), sample);
-    }
+    const EvalResult& ev = delta_eval.Rebase(materialize(design));
     ++result.evaluations;
     best_plain = ev.cost();
     best_cost = model_cost(ev);
@@ -156,8 +146,8 @@ Result<HorticultureResult> Horticulture::Partition(Database* db,
       }
       std::vector<double> trial_cost(trial_cols.size(), 0.0);
       std::vector<double> trial_plain(trial_cols.size(), 0.0);
-      if (delta_eval.has_value() && current != base_design) {
-        delta_eval->Rebase(materialize(current));
+      if (current != base_design) {
+        delta_eval.Rebase(materialize(current));
         base_design = current;
       }
       ParallelFor(
@@ -165,14 +155,9 @@ Result<HorticultureResult> Horticulture::Partition(Database* db,
           [&](size_t i) {
             Design trial = current;
             trial[t] = trial_cols[i];
-            DatabaseSolution sol = materialize(trial);
-            EvalResult ev;
-            if (delta_eval.has_value()) {
-              const std::array<TableId, 1> changed = {t};
-              ev = delta_eval->EvaluateCandidate(sol, changed);
-            } else {
-              ev = Evaluate(*db, sol, sample);
-            }
+            const std::array<TableId, 1> changed = {t};
+            const EvalResult ev =
+                delta_eval.EvaluateCandidate(materialize(trial), changed);
             trial_plain[i] = ev.cost();
             trial_cost[i] = model_cost(ev);
           },

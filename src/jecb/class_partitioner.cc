@@ -15,56 +15,8 @@ namespace jecb {
 
 namespace {
 
-/// Legacy row-oriented tree evaluator: memoizes join-path evaluations per
-/// covered table while scanning a Trace. One instance lives per metric pass
-/// (nothing is shared across trees) — this is exactly the pre-columnar scan
-/// the `columnar` toggle benchmarks against.
-class TreeEvaluator {
- public:
-  TreeEvaluator(const Database& db, const JoinTree& tree) : db_(db), tree_(tree) {}
-
-  /// Collects the distinct root values of a transaction's covered accesses.
-  /// Returns false when any path evaluation fails.
-  bool Collect(const Transaction& txn, size_t max_values, std::vector<Value>* out) {
-    out->clear();
-    for (const Access& a : txn.accesses) {
-      auto it = tree_.paths.find(a.tuple.table);
-      if (it == tree_.paths.end()) continue;
-      const Value* v = Lookup(it->second, a.tuple);
-      if (v == nullptr) return false;
-      if (std::find(out->begin(), out->end(), *v) == out->end()) {
-        out->push_back(*v);
-        if (out->size() > max_values) return true;  // caller treats as violation
-      }
-    }
-    return true;
-  }
-
-  bool Touches(const Transaction& txn) const {
-    for (const Access& a : txn.accesses) {
-      if (tree_.paths.count(a.tuple.table) > 0) return true;
-    }
-    return false;
-  }
-
- private:
-  const Value* Lookup(const JoinPath& path, TupleId tuple) {
-    auto& cache = cache_[tuple.table];
-    auto it = cache.find(tuple.row);
-    if (it != cache.end()) return it->second.has_value() ? &*it->second : nullptr;
-    Result<Value> v = path.Evaluate(db_, tuple);
-    auto& slot = cache[tuple.row];
-    if (v.ok()) slot = std::move(v).value();
-    return slot.has_value() ? &*slot : nullptr;
-  }
-
-  const Database& db_;
-  const JoinTree& tree_;
-  std::unordered_map<TableId, std::unordered_map<RowId, std::optional<Value>>> cache_;
-};
-
-/// Columnar tree evaluator: scans SoA accesses of a FlatTrace and resolves
-/// root values through the class's shared JoinPathResolver. Construction
+/// Tree evaluator: scans SoA accesses of a FlatTrace and resolves root
+/// values through the class's shared JoinPathResolver. Construction
 /// binds each covered table to its shared path cache once, so the per-access
 /// hot path is an array index plus a flat-table probe.
 class FlatTreeEvaluator {
@@ -84,7 +36,8 @@ class FlatTreeEvaluator {
     return false;
   }
 
-  /// Same contract (and the same access order) as TreeEvaluator::Collect.
+  /// Collects the distinct root values of a transaction's covered accesses,
+  /// in access order. Returns false when any path evaluation fails.
   bool Collect(uint32_t txn, size_t max_values, std::vector<Value>* out) {
     out->clear();
     for (const PackedAccess a : flat_.accesses(txn)) {
@@ -104,120 +57,6 @@ class FlatTreeEvaluator {
  private:
   const FlatTrace& flat_;
   std::vector<JoinPathResolver::PathCache*> per_table_;
-};
-
-}  // namespace
-
-/// The trace-scanning operations Phase 2 needs, factored out so SolveGraph /
-/// StatsFallback run unchanged over either data layout. Costing several
-/// mappings shares one root-value resolution pass (the mappings only differ
-/// after resolution), which is what keeps StatsFallback from rebuilding the
-/// cache once per mapping.
-class ClassScan {
- public:
-  virtual ~ClassScan() = default;
-
-  virtual bool TrainEmpty() const = 0;
-
-  /// Definition-7 fit of `tree` over the training part.
-  virtual TreeFit MeasureFit(const JoinTree& tree) const = 0;
-
-  /// Calls `fn` once per training transaction whose covered accesses all
-  /// resolve to a non-empty set of at most `max_values` distinct root
-  /// values (the statistics-fallback gathering pass).
-  virtual void ForEachTrainValueSet(
-      const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const = 0;
-
-  /// Distributed fraction of each mapping over the validation part (holdout
-  /// when non-empty, train otherwise), resolving each transaction's root
-  /// values once and reusing them for every mapping.
-  virtual std::vector<double> CostMappings(
-      const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const = 0;
-};
-
-namespace {
-
-/// Shared mapping-costing arithmetic: the per-transaction loop body after
-/// the root values have been collected. Mirrors the legacy TreeCost exactly.
-void CostCollected(const std::vector<Value>& values,
-                   const std::vector<const MappingFunction*>& mappings,
-                   std::vector<uint64_t>* distributed) {
-  for (size_t m = 0; m < mappings.size(); ++m) {
-    int32_t part = kUnknownPartition;
-    bool multi = false;
-    for (const Value& v : values) {
-      int32_t p = mappings[m]->Map(v);
-      if (part == kUnknownPartition) {
-        part = p;
-      } else if (p != part) {
-        multi = true;
-        break;
-      }
-    }
-    if (multi) ++(*distributed)[m];
-  }
-}
-
-std::vector<double> FinishCosts(uint64_t total,
-                                const std::vector<uint64_t>& distributed) {
-  std::vector<double> costs(distributed.size(), 0.0);
-  for (size_t m = 0; m < distributed.size(); ++m) {
-    costs[m] = total == 0 ? 0.0
-                          : static_cast<double>(distributed[m]) /
-                                static_cast<double>(total);
-  }
-  return costs;
-}
-
-class LegacyScan : public ClassScan {
- public:
-  LegacyScan(const Database& db, const Trace& train, const Trace& holdout)
-      : db_(db), train_(train), holdout_(holdout) {}
-
-  bool TrainEmpty() const override { return train_.empty(); }
-
-  TreeFit MeasureFit(const JoinTree& tree) const override {
-    return MeasureTreeFit(db_, tree, train_);
-  }
-
-  void ForEachTrainValueSet(
-      const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const override {
-    TreeEvaluator eval(db_, tree);
-    std::vector<Value> values;
-    for (const Transaction& txn : train_.transactions()) {
-      if (!eval.Collect(txn, max_values, &values)) continue;
-      if (values.empty() || values.size() > max_values) continue;
-      fn(values);
-    }
-  }
-
-  std::vector<double> CostMappings(
-      const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const override {
-    const Trace& validation = holdout_.empty() ? train_ : holdout_;
-    TreeEvaluator eval(db_, tree);
-    std::vector<Value> values;
-    uint64_t total = 0;
-    std::vector<uint64_t> distributed(mappings.size(), 0);
-    for (const Transaction& txn : validation.transactions()) {
-      if (!eval.Touches(txn)) continue;
-      ++total;
-      if (!eval.Collect(txn, max_values, &values) || values.size() > max_values) {
-        for (uint64_t& d : distributed) ++d;
-        continue;
-      }
-      CostCollected(values, mappings, &distributed);
-    }
-    return FinishCosts(total, distributed);
-  }
-
- private:
-  const Database& db_;
-  const Trace& train_;
-  const Trace& holdout_;
 };
 
 /// Compacted, class-local copy of one training view's accesses, built once
@@ -354,34 +193,34 @@ class ValueIdScan {
   std::unordered_map<JoinPathResolver::PathCache*, std::vector<uint32_t>> arrays_;
 };
 
-class FlatScan : public ClassScan {
+}  // namespace
+
+/// The trace-scanning operations Phase 2 needs over one class's train and
+/// holdout views. One Phase-2 task owns one FlatScan, so its lazily built
+/// caches need no locking.
+class FlatScan {
  public:
   FlatScan(const Database& db, TraceView train, TraceView holdout,
-           JoinPathResolver* resolver, bool incremental)
-      : db_(db), train_(train), holdout_(holdout), resolver_(resolver),
-        incremental_(incremental) {}
+           JoinPathResolver* resolver)
+      : db_(db), train_(train), holdout_(holdout), resolver_(resolver) {}
 
-  bool TrainEmpty() const override { return train_.empty(); }
+  bool TrainEmpty() const { return train_.empty(); }
 
-  // Phase 2 measures the fit of every enumerated tree with a full scan of
-  // the class's training view — by far the hottest loop of the pipeline
-  // (thousands of scans per workload). Two exact accelerations, both behind
-  // the `incremental` toggle (off = the pre-incremental scan, kept as the
-  // bit-identity oracle):
-  //  1. A memo keyed by the tree's canonical path set: the fit depends only
-  //     on tree.paths (the root merely names the destination attribute the
-  //     paths already encode), so equal path sets must score equally.
-  //  2. On a miss, a sequential integer scan of the compacted ClassSlice
-  //     against per-path value-id arrays, instead of a hash probe + Value
-  //     comparison per access.
-  // Both reproduce MeasureTreeFit's counts exactly: id equality is Value
-  // equality, and the early exits only skip accesses that cannot change the
-  // per-transaction verdict.
-  TreeFit MeasureFit(const JoinTree& tree) const override {
+  /// Definition-7 fit of `tree` over the training part. Phase 2 measures
+  /// the fit of every enumerated tree with a full scan of the class's
+  /// training view — by far the hottest loop of the pipeline (thousands of
+  /// scans per workload). Two exact accelerations over MeasureTreeFit:
+  ///  1. A memo keyed by the tree's canonical path set: the fit depends only
+  ///     on tree.paths (the root merely names the destination attribute the
+  ///     paths already encode), so equal path sets must score equally.
+  ///  2. On a miss, a sequential integer scan of the compacted ClassSlice
+  ///     against per-path value-id arrays, instead of a hash probe + Value
+  ///     comparison per access.
+  /// Both reproduce MeasureTreeFit's counts exactly: id equality is Value
+  /// equality, and the early exits only skip accesses that cannot change the
+  /// per-transaction verdict.
+  TreeFit MeasureFit(const JoinTree& tree) {
     MetricsRegistry::Default().AddCounter("jecb_phase2_fit_scans_total", 1);
-    if (!incremental_) {
-      return MeasureTreeFit(db_, tree, train_, resolver_);
-    }
     std::vector<std::pair<TableId, const void*>> key;
     key.reserve(tree.paths.size());
     for (const auto& [t, path] : tree.paths) {
@@ -432,9 +271,12 @@ class FlatScan : public ClassScan {
     return fit;
   }
 
+  /// Calls `fn` once per training transaction whose covered accesses all
+  /// resolve to a non-empty set of at most `max_values` distinct root
+  /// values (the statistics-fallback gathering pass).
   void ForEachTrainValueSet(
       const JoinTree& tree, size_t max_values,
-      const std::function<void(const std::vector<Value>&)>& fn) const override {
+      const std::function<void(const std::vector<Value>&)>& fn) const {
     FlatTreeEvaluator eval(db_, train_.trace(), tree, resolver_);
     std::vector<Value> values;
     for (size_t i = 0; i < train_.size(); ++i) {
@@ -444,9 +286,13 @@ class FlatScan : public ClassScan {
     }
   }
 
+  /// Distributed fraction of each mapping over the validation part (holdout
+  /// when non-empty, train otherwise). Each transaction's root values are
+  /// resolved once and reused for every mapping: the mappings only differ
+  /// after resolution.
   std::vector<double> CostMappings(
       const JoinTree& tree, size_t max_values,
-      const std::vector<const MappingFunction*>& mappings) const override {
+      const std::vector<const MappingFunction*>& mappings) const {
     const TraceView& validation = holdout_.empty() ? train_ : holdout_;
     FlatTreeEvaluator eval(db_, validation.trace(), tree, resolver_);
     std::vector<Value> values;
@@ -460,34 +306,46 @@ class FlatScan : public ClassScan {
         for (uint64_t& d : distributed) ++d;
         continue;
       }
-      CostCollected(values, mappings, &distributed);
+      for (size_t m = 0; m < mappings.size(); ++m) {
+        int32_t part = kUnknownPartition;
+        for (const Value& v : values) {
+          const int32_t p = mappings[m]->Map(v);
+          if (part == kUnknownPartition) {
+            part = p;
+          } else if (p != part) {
+            ++distributed[m];
+            break;
+          }
+        }
+      }
     }
-    return FinishCosts(total, distributed);
+    std::vector<double> costs(mappings.size(), 0.0);
+    for (size_t m = 0; m < mappings.size(); ++m) {
+      costs[m] = total == 0 ? 0.0
+                            : static_cast<double>(distributed[m]) /
+                                  static_cast<double>(total);
+    }
+    return costs;
   }
 
  private:
-  const Database& db_;
-  TraceView train_;
-  TraceView holdout_;
-  JoinPathResolver* resolver_;
-  const bool incremental_;
-
-  // Slice + id arrays build lazily on the first fit scan. Single-threaded
-  // per class (one Phase-2 task owns one FlatScan), so the mutable caches
-  // need no locking.
-  ValueIdScan& id_scan() const {
+  /// The slice and its id arrays build on the first fit scan.
+  ValueIdScan& id_scan() {
     if (slice_ == nullptr) {
       slice_ = std::make_unique<ClassSlice>(train_);
       id_scan_.emplace(db_, train_.trace(), slice_.get(), resolver_);
     }
     return *id_scan_;
   }
-  mutable std::unique_ptr<ClassSlice> slice_;
-  mutable std::optional<ValueIdScan> id_scan_;
-  mutable std::map<std::vector<std::pair<TableId, const void*>>, TreeFit> fit_memo_;
-};
 
-}  // namespace
+  const Database& db_;
+  TraceView train_;
+  TraceView holdout_;
+  JoinPathResolver* resolver_;
+  std::unique_ptr<ClassSlice> slice_;
+  std::optional<ValueIdScan> id_scan_;
+  std::map<std::vector<std::pair<TableId, const void*>>, TreeFit> fit_memo_;
+};
 
 std::string_view SolutionTierToString(SolutionTier tier) {
   switch (tier) {
@@ -499,18 +357,6 @@ std::string_view SolutionTierToString(SolutionTier tier) {
       return "statistics";
   }
   return "?";
-}
-
-TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree, const Trace& trace) {
-  TreeFit fit;
-  TreeEvaluator eval(db, tree);
-  std::vector<Value> values;
-  for (const Transaction& txn : trace.transactions()) {
-    if (!eval.Touches(txn)) continue;
-    ++fit.txns;
-    if (!eval.Collect(txn, 1, &values) || values.size() > 1) ++fit.violations;
-  }
-  return fit;
 }
 
 TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree,
@@ -541,7 +387,7 @@ bool IsCoarserTree(const AttributeLattice& lattice, const JoinTree& a,
 }
 
 Result<ClassSolution> ClassPartitioner::StatsFallback(const JoinTree& tree,
-                                                      const ClassScan& scan) const {
+                                                      FlatScan& scan) const {
   // Gather per-transaction root value sets (one shared resolution pass).
   std::vector<std::vector<Value>> txn_values;
   std::unordered_map<Value, NodeId, ValueHashFunctor> node_of;
@@ -624,7 +470,7 @@ Result<ClassSolution> ClassPartitioner::StatsFallback(const JoinTree& tree,
 }
 
 std::vector<ClassSolution> ClassPartitioner::SolveGraph(const JoinGraph& graph,
-                                                        const ClassScan& scan,
+                                                        FlatScan& scan,
                                                         bool as_total, int depth) const {
   std::vector<ClassSolution> out;
   if (graph.partitioned_tables.empty()) return out;
@@ -717,15 +563,20 @@ std::vector<ClassSolution> ClassPartitioner::SolveGraph(const JoinGraph& graph,
   return out;
 }
 
-ClassPartitioningResult ClassPartitioner::PartitionWithScan(
-    const JoinGraph& graph, const ClassScan& scan, const std::string& name,
-    uint32_t class_id, double mix_fraction) const {
+ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
+                                                    const TraceView& class_view,
+                                                    JoinPathResolver* resolver,
+                                                    const std::string& name,
+                                                    uint32_t class_id,
+                                                    double mix_fraction) const {
   ClassPartitioningResult result;
   result.class_name = name;
   result.class_id = class_id;
   result.mix_fraction = mix_fraction;
   result.read_only = graph.partitioned_tables.empty();
 
+  auto [train, holdout] = class_view.SplitTrainTest(options_.holdout_fraction);
+  FlatScan scan(*db_, train, holdout, resolver);
   if (scan.TrainEmpty()) return result;
 
   result.total_solutions = SolveGraph(graph, scan, /*as_total=*/true, /*depth=*/0);
@@ -767,7 +618,7 @@ ClassPartitioningResult ClassPartitioner::PartitionWithScan(
       auto trees = EnumerateTrees(schema(), graph, *lattice_, c, cover,
                                   options_.tree_enum);
       for (auto& tree : trees) {
-          TreeFit fit = scan.MeasureFit(tree);
+        TreeFit fit = scan.MeasureFit(tree);
         if (fit.txns == 0 || fit.violations != 0) continue;
         ClassSolution sol;
         sol.tree = std::move(tree);
@@ -791,27 +642,6 @@ ClassPartitioningResult ClassPartitioner::PartitionWithScan(
     }
   }
   return result;
-}
-
-ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
-                                                    const Trace& class_trace,
-                                                    const std::string& name,
-                                                    uint32_t class_id,
-                                                    double mix_fraction) const {
-  auto [train, holdout] = class_trace.SplitTrainTest(options_.holdout_fraction);
-  LegacyScan scan(*db_, train, holdout);
-  return PartitionWithScan(graph, scan, name, class_id, mix_fraction);
-}
-
-ClassPartitioningResult ClassPartitioner::Partition(const JoinGraph& graph,
-                                                    const TraceView& class_view,
-                                                    JoinPathResolver* resolver,
-                                                    const std::string& name,
-                                                    uint32_t class_id,
-                                                    double mix_fraction) const {
-  auto [train, holdout] = class_view.SplitTrainTest(options_.holdout_fraction);
-  FlatScan scan(*db_, train, holdout, resolver, options_.incremental);
-  return PartitionWithScan(graph, scan, name, class_id, mix_fraction);
 }
 
 }  // namespace jecb

@@ -22,13 +22,11 @@
 #include "jecb/types.h"
 #include "partition/join_path_resolver.h"
 #include "trace/flat_trace.h"
-#include "trace/trace.h"
 
 namespace jecb {
 
-/// Internal trace-scan backend for one class (defined in the .cc): either
-/// the legacy row-oriented scan or the columnar view + shared-resolver scan.
-class ClassScan;
+/// Internal trace-scan state of one class (defined in the .cc).
+class FlatScan;
 
 struct ClassPartitionerOptions {
   int32_t num_partitions = 8;
@@ -44,11 +42,6 @@ struct ClassPartitionerOptions {
   /// building the statistics co-access graph.
   size_t max_values_per_txn = 16;
   TreeEnumOptions tree_enum;
-  /// Accelerate the per-tree fit scans with the class-local value-id layout
-  /// and the path-set memo (columnar pipeline only). Off reproduces the
-  /// pre-incremental scan bit for bit — the toggle exists as the oracle for
-  /// the delta/incremental A/B in bench/partition_speed.
-  bool incremental = true;
   uint64_t seed = 7;
 };
 
@@ -62,13 +55,11 @@ struct TreeFit {
   }
 };
 
-/// Measures Definition 7 over `trace` for `tree`, counting only accesses to
-/// tables the tree covers.
-TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree, const Trace& trace);
-
-/// Columnar variant over a zero-copy view; `resolver` memoizes every
-/// join-path resolution so repeated calls (other trees, other metrics) never
-/// re-extend a tuple already seen. Bit-identical to the Trace overload.
+/// Measures Definition 7 over `view` for `tree`, counting only accesses to
+/// tables the tree covers: the plain reference scan. `resolver` memoizes
+/// every join-path resolution so repeated calls never re-extend a tuple
+/// already seen. Phase 2 itself measures fits with a faster, exactly
+/// equivalent scan (class_partitioner.cc).
 TreeFit MeasureTreeFit(const Database& db, const JoinTree& tree,
                        const TraceView& view, JoinPathResolver* resolver);
 
@@ -84,39 +75,25 @@ class ClassPartitioner {
                    ClassPartitionerOptions options)
       : db_(db), lattice_(lattice), options_(std::move(options)) {}
 
-  /// Runs Phase 2 for one class over the legacy row-oriented trace.
-  /// `class_trace` must contain only this class's transactions.
-  ClassPartitioningResult Partition(const JoinGraph& graph, const Trace& class_trace,
-                                    const std::string& name, uint32_t class_id,
-                                    double mix_fraction) const;
-
-  /// Columnar Phase 2: the same search over a zero-copy view of the shared
-  /// FlatTrace. `resolver` carries the class's join-path resolution cache
-  /// across every enumerated tree and every metric (fit measuring, mapping
-  /// costing, statistics fallback), so each distinct tuple is join-extended
-  /// once per distinct path instead of once per tree per metric. Results are
-  /// bit-identical to the Trace overload.
+  /// Runs Phase 2 for one class over a zero-copy view of the shared
+  /// FlatTrace; `class_view` must contain only this class's transactions.
+  /// `resolver` carries the class's join-path resolution cache across every
+  /// enumerated tree and every metric (fit measuring, mapping costing,
+  /// statistics fallback), so each distinct tuple is join-extended once per
+  /// distinct path instead of once per tree per metric.
   ClassPartitioningResult Partition(const JoinGraph& graph, const TraceView& class_view,
                                     JoinPathResolver* resolver,
                                     const std::string& name, uint32_t class_id,
                                     double mix_fraction) const;
 
  private:
-  /// Shared Phase-2 body over either scan backend.
-  ClassPartitioningResult PartitionWithScan(const JoinGraph& graph,
-                                            const ClassScan& scan,
-                                            const std::string& name,
-                                            uint32_t class_id,
-                                            double mix_fraction) const;
-
   /// Solutions over a (sub)graph; `cover` lists the partitioned tables a
   /// solution must span to count as total for this (sub)graph.
-  std::vector<ClassSolution> SolveGraph(const JoinGraph& graph, const ClassScan& scan,
+  std::vector<ClassSolution> SolveGraph(const JoinGraph& graph, FlatScan& scan,
                                         bool as_total, int depth) const;
 
   /// Tier 3: statistics fallback for one tree.
-  Result<ClassSolution> StatsFallback(const JoinTree& tree,
-                                      const ClassScan& scan) const;
+  Result<ClassSolution> StatsFallback(const JoinTree& tree, FlatScan& scan) const;
 
   const Schema& schema() const { return db_->schema(); }
 

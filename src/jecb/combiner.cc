@@ -33,8 +33,8 @@ bool CandidateCoarser(const AttributeLattice& lattice, const TableSolutionCandid
 }  // namespace
 
 Result<DatabaseSolution> Combiner::Combine(
-    const std::vector<ClassPartitioningResult>& classes, const Trace& train,
-    CombinerReport* report, ThreadPool* pool, const FlatTrace* flat) const {
+    const std::vector<ClassPartitioningResult>& classes, const FlatTrace& train,
+    CombinerReport* report, ThreadPool* pool) const {
   CombinerReport local_report;
   CombinerReport& rep = report != nullptr ? *report : local_report;
 
@@ -119,11 +119,7 @@ Result<DatabaseSolution> Combiner::Combine(
       solution.Set(static_cast<TableId>(t), replicated);
     }
     rep.chosen_attr = "(none: full replication)";
-    EvalResult ev =
-        flat != nullptr
-            ? Evaluate(*db_, solution, *flat, pool, options_.scan_kernel)
-            : Evaluate(*db_, solution, train, pool);
-    rep.best_train_cost = cost_model.Cost(ev);
+    rep.best_train_cost = cost_model.Cost(Evaluate(*db_, solution, train, pool));
     return solution;
   }
 
@@ -245,12 +241,7 @@ Result<DatabaseSolution> Combiner::Combine(
     ParallelFor(
         nullptr, combos.size(),
         [&](size_t i) {
-          DatabaseSolution solution = build(combos[i]);
-          const EvalResult ev =
-              flat != nullptr
-                  ? Evaluate(*db_, solution, *flat, pool, options_.scan_kernel)
-                  : Evaluate(*db_, solution, train, pool);
-          costs[i] = cost_model.Cost(ev);
+          costs[i] = cost_model.Cost(Evaluate(*db_, build(combos[i]), train, pool));
         },
         "combiner.score");
     for (size_t i = 0; i < combos.size(); ++i) {

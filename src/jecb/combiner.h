@@ -14,7 +14,7 @@
 #include "partition/cost_model.h"
 #include "partition/evaluator.h"
 #include "partition/solution.h"
-#include "trace/trace.h"
+#include "trace/flat_trace.h"
 
 namespace jecb {
 
@@ -26,9 +26,6 @@ struct CombinerOptions {
   /// cost (fraction of distributed transactions). The conclusion's richer
   /// models (SitesTouchedCost, WeightedRuntimeCost) plug in here.
   std::shared_ptr<const CostModel> cost_model;
-  /// Partition-scan kernel for combination scoring (every kernel is
-  /// bit-identical to kScalar; see partition_scan.h).
-  ScanKernel scan_kernel = ScanKernel::kAuto;
 };
 
 /// Search-space accounting for Example 10-style reporting.
@@ -48,19 +45,15 @@ class Combiner {
   Combiner(const Database* db, const AttributeLattice* lattice, CombinerOptions options)
       : db_(db), lattice_(lattice), options_(options) {}
 
-  /// Runs Phase 3. `train` is the global training trace (all classes).
-  /// Every enumerated combination is scored, in enumeration order, with a
-  /// full Evaluate split over `pool`. An EvalResult does not depend on the
-  /// thread count, so the chosen solution, cost, and report counters are
-  /// bit-identical to the serial path.
-  ///
-  /// When `flat` is non-null it must be the columnar image of `train`;
-  /// combination scoring then uses the resolve-once columnar evaluator
-  /// (identical EvalResults, so the chosen solution does not change).
+  /// Runs Phase 3. `train` is the flattened global training trace (all
+  /// classes). Every enumerated combination is scored, in enumeration
+  /// order, with a full resolve-once Evaluate split over `pool`. An
+  /// EvalResult does not depend on the thread count, so the chosen
+  /// solution, cost, and report counters are bit-identical to the serial
+  /// path.
   Result<DatabaseSolution> Combine(const std::vector<ClassPartitioningResult>& classes,
-                                   const Trace& train, CombinerReport* report,
-                                   ThreadPool* pool = nullptr,
-                                   const FlatTrace* flat = nullptr) const;
+                                   const FlatTrace& train, CombinerReport* report,
+                                   ThreadPool* pool = nullptr) const;
 
  private:
   const Schema& schema() const { return db_->schema(); }

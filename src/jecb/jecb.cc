@@ -14,10 +14,7 @@ namespace jecb {
 
 Jecb::Jecb(JecbOptions options) : options_(std::move(options)) {
   options_.class_partitioner.num_partitions = options_.num_partitions;
-  options_.class_partitioner.incremental = options_.delta;
   options_.combiner.num_partitions = options_.num_partitions;
-  options_.combiner.scan_kernel =
-      options_.simd ? ScanKernel::kAuto : ScanKernel::kScalar;
 }
 
 Result<JecbResult> Jecb::Partition(Database* db,
@@ -71,17 +68,14 @@ Result<JecbResult> Jecb::Partition(Database* db,
     pool = std::make_unique<ThreadPool>(options_.num_threads);
   }
 
-  // Columnar mode flattens the trace once up front; Phase 2 then hands each
-  // class a zero-copy view plus its own join-path resolution cache, and
-  // Phase 3 reuses the same FlatTrace for resolve-once scoring.
-  std::unique_ptr<FlatTrace> flat;
-  if (options_.columnar) {
-    const uint64_t flat_ts = rec.enabled() ? rec.NowUs() : 0;
-    flat = std::make_unique<FlatTrace>(FlatTrace::FromTrace(training_trace));
-    if (rec.enabled()) {
-      rec.Span("jecb", "trace.flatten", flat_ts, rec.NowUs() - flat_ts, "tuples",
-               static_cast<int64_t>(flat->num_tuples()));
-    }
+  // The trace is flattened once up front; Phase 2 then hands each class a
+  // zero-copy view plus its own join-path resolution cache, and Phase 3
+  // reuses the same FlatTrace for resolve-once scoring.
+  const uint64_t flat_ts = rec.enabled() ? rec.NowUs() : 0;
+  const FlatTrace flat = FlatTrace::FromTrace(training_trace);
+  if (rec.enabled()) {
+    rec.Span("jecb", "trace.flatten", flat_ts, rec.NowUs() - flat_ts, "tuples",
+             static_cast<int64_t>(flat.num_tuples()));
   }
 
   ClassPartitioner class_partitioner(db, &lattice, options_.class_partitioner);
@@ -104,32 +98,17 @@ Result<JecbResult> Jecb::Partition(Database* db,
         }
         JoinGraph graph =
             BuildJoinGraph(db->schema(), info.value(), options_.join_graph);
-        if (flat != nullptr) {
-          TraceView class_view =
-              TraceView(flat.get()).FilterClass(static_cast<uint32_t>(cls));
-          double mix = training_trace.size() == 0
-                           ? 0.0
-                           : static_cast<double>(class_view.size()) /
-                                 static_cast<double>(training_trace.size());
-          // One resolver per class: caches stay core-local under the pool
-          // and are shared across every tree/metric of this class. The
-          // per-FK hop memo rides the same delta/incremental toggle as the
-          // rest of the incremental machinery so `delta = false` reproduces
-          // the pre-incremental resolution path exactly.
-          JoinPathResolver resolver(db, options_.delta);
-          classes[cls] =
-              class_partitioner.Partition(graph, class_view, &resolver, name,
-                                          static_cast<uint32_t>(cls), mix);
-        } else {
-          Trace class_trace =
-              training_trace.FilterClass(static_cast<uint32_t>(cls));
-          double mix = training_trace.size() == 0
-                           ? 0.0
-                           : static_cast<double>(class_trace.size()) /
-                                 static_cast<double>(training_trace.size());
-          classes[cls] = class_partitioner.Partition(
-              graph, class_trace, name, static_cast<uint32_t>(cls), mix);
-        }
+        TraceView class_view =
+            TraceView(&flat).FilterClass(static_cast<uint32_t>(cls));
+        double mix = training_trace.size() == 0
+                         ? 0.0
+                         : static_cast<double>(class_view.size()) /
+                               static_cast<double>(training_trace.size());
+        // One resolver per class: caches stay core-local under the pool and
+        // are shared across every tree/metric of this class.
+        JoinPathResolver resolver(db);
+        classes[cls] = class_partitioner.Partition(
+            graph, class_view, &resolver, name, static_cast<uint32_t>(cls), mix);
         span.Arg("total_solutions",
                  static_cast<int64_t>(classes[cls].total_solutions.size()));
         span.Arg("partial_solutions",
@@ -150,8 +129,7 @@ Result<JecbResult> Jecb::Partition(Database* db,
   Combiner combiner(db, &lattice, options_.combiner);
   CombinerReport report;
   JECB_ASSIGN_OR_RETURN(DatabaseSolution solution,
-                        combiner.Combine(classes, training_trace, &report, pool.get(),
-                                         flat.get()));
+                        combiner.Combine(classes, flat, &report, pool.get()));
   if (rec.enabled()) {
     rec.Span("jecb", "phase3.combine", p3_ts, rec.NowUs() - p3_ts, "combinations",
              static_cast<int64_t>(report.evaluated_combinations), "candidates",

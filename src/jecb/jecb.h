@@ -26,20 +26,6 @@ struct JecbOptions {
   /// legacy single-threaded path (no pool is created). Results are
   /// bit-identical at every thread count.
   int32_t num_threads = 0;
-  /// Use the columnar pipeline: the training trace is flattened once into a
-  /// FlatTrace, Phase 2 scans zero-copy per-class views with a shared
-  /// join-path resolution cache per class, and Phase 3 scores combinations
-  /// with the resolve-once evaluator. Results are bit-identical to the
-  /// row-oriented path (false), which is kept for comparison benchmarks.
-  bool columnar = true;
-  /// Incremental Phase-2 search (ClassPartitionerOptions::incremental plus
-  /// the per-class foreign-key hop memo; needs `columnar`). Bit-identical
-  /// results — only the time per enumerated tree changes.
-  bool delta = true;
-  /// Allow the SIMD partition-scan kernels (partition_scan.h). false pins
-  /// the scalar kernel; true picks the best kernel the CPU supports at run
-  /// time. Every kernel is bit-identical to scalar.
-  bool simd = true;
   ClassifyOptions classify;
   JoinGraphOptions join_graph;
   ClassPartitionerOptions class_partitioner;

@@ -17,9 +17,9 @@
 // Every EvalResult field is an integer count, so the subtract/merge in step
 // 3 is exact and reversible (EvalResult::Subtract is the inverse of Merge):
 // the returned EvalResult is bit-identical to a full Evaluate() of the
-// candidate, at any thread count and with any scan kernel. That identity is
-// the whole contract — the LNS accept rule never sees a different number
-// than the full rescan would produce, so search trajectories cannot drift.
+// candidate, at any thread count. That identity is the whole contract — the
+// LNS accept rule never sees a different number than the full rescan would
+// produce, so search trajectories cannot drift.
 // set_self_check(true) re-proves it on every candidate against the full
 // evaluator (tests and parity benches run with it on).
 //
@@ -48,11 +48,9 @@ class DeltaEvaluator {
  public:
   /// Precomputes the trace-side indexes (per-table tuple lists and
   /// affected-transaction lists) — independent of any solution, built once
-  /// per FlatTrace. `pool` parallelizes Rebase; `kernel` picks the
-  /// partition-scan kernel for every scan this evaluator performs.
+  /// per FlatTrace. `pool` parallelizes Rebase.
   DeltaEvaluator(const Database* db, const FlatTrace* trace,
-                 ThreadPool* pool = nullptr,
-                 ScanKernel kernel = ScanKernel::kAuto);
+                 ThreadPool* pool = nullptr);
 
   /// Fully evaluates `base` (resolve + scan, parallelized over `pool`) and
   /// makes it the incumbent deltas are taken against. Per-table base
@@ -99,7 +97,6 @@ class DeltaEvaluator {
   const Database* db_;
   const FlatTrace* trace_;
   ThreadPool* pool_;
-  ScanKernel kernel_;
   bool self_check_ = false;
   size_t num_tables_ = 0;
 

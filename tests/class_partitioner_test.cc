@@ -1,12 +1,25 @@
 #include <gtest/gtest.h>
 
 #include "jecb/class_partitioner.h"
+#include "partition/join_path_resolver.h"
 #include "sql/analyzer.h"
 #include "sql/parser.h"
 #include "test_util.h"
+#include "trace/flat_trace.h"
 
 namespace jecb {
 namespace {
+
+/// Runs Phase 2 for one class over the flattened `trace` (all of whose
+/// transactions belong to the class), with a fresh join-path resolver.
+ClassPartitioningResult PartitionTrace(const Database* db,
+                                       const ClassPartitioner& partitioner,
+                                       const JoinGraph& graph, const Trace& trace,
+                                       const std::string& name) {
+  const FlatTrace flat = FlatTrace::FromTrace(trace);
+  JoinPathResolver resolver(db);
+  return partitioner.Partition(graph, TraceView(&flat), &resolver, name, 0, 1.0);
+}
 
 class ClassPartitionerTest : public ::testing::Test {
  protected:
@@ -21,9 +34,12 @@ class ClassPartitionerTest : public ::testing::Test {
     graph_ = BuildJoinGraph(fixture_.db->schema(), info.value());
   }
 
-  ClassPartitioner MakePartitioner(ClassPartitionerOptions opt = {}) {
+  ClassPartitioningResult Partition(const JoinGraph& graph, const Trace& trace,
+                                    const std::string& name,
+                                    ClassPartitionerOptions opt = {}) {
     opt.num_partitions = 2;
-    return ClassPartitioner(fixture_.db.get(), lattice_.get(), opt);
+    ClassPartitioner partitioner(fixture_.db.get(), lattice_.get(), opt);
+    return PartitionTrace(fixture_.db.get(), partitioner, graph, trace, name);
   }
 
   const Schema& schema() const { return fixture_.db->schema(); }
@@ -36,7 +52,7 @@ class ClassPartitionerTest : public ::testing::Test {
 
 TEST_F(ClassPartitionerTest, CustInfoIsMappingIndependentOnCaCid) {
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(graph_, trace, "CustInfo", 0, 1.0);
+  auto result = Partition(graph_, trace, "CustInfo");
   ASSERT_EQ(result.total_solutions.size(), 1u);
   const ClassSolution& sol = result.total_solutions[0];
   EXPECT_EQ(sol.tier, SolutionTier::kMappingIndependent);
@@ -57,14 +73,16 @@ TEST_F(ClassPartitionerTest, MeasureTreeFitDetectsViolations) {
   ca.dest = tree.root;
   tree.paths[ca.source_table] = ca;
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  TreeFit fit = MeasureTreeFit(*fixture_.db, tree, trace);
+  const FlatTrace flat = FlatTrace::FromTrace(trace);
+  JoinPathResolver resolver(fixture_.db.get());
+  TreeFit fit = MeasureTreeFit(*fixture_.db, tree, TraceView(&flat), &resolver);
   EXPECT_EQ(fit.txns, trace.size());
   EXPECT_EQ(fit.violations, trace.size());
 
   // Rooted at CA_C_ID instead: no violations.
   tree.root = Ref("CUSTOMER_ACCOUNT.CA_C_ID");
   tree.paths[ca.source_table].dest = tree.root;
-  fit = MeasureTreeFit(*fixture_.db, tree, trace);
+  fit = MeasureTreeFit(*fixture_.db, tree, TraceView(&flat), &resolver);
   EXPECT_EQ(fit.violations, 0u);
 }
 
@@ -77,11 +95,37 @@ TEST_F(ClassPartitionerTest, QuasiTierAcceptsSmallViolationFraction) {
   }
   ClassPartitionerOptions opt;
   opt.quasi_tolerance = 0.25;
-  auto result = MakePartitioner(opt).Partition(graph_, trace, "CustInfo", 0, 1.0);
+  auto result = Partition(graph_, trace, "CustInfo", opt);
   ASSERT_EQ(result.total_solutions.size(), 1u);
   EXPECT_EQ(result.total_solutions[0].tier, SolutionTier::kQuasiIndependent);
   EXPECT_GT(result.total_solutions[0].violation_fraction, 0.0);
   EXPECT_LE(result.total_solutions[0].violation_fraction, 0.25);
+}
+
+TEST_F(ClassPartitionerTest, DanglingJoinIsAViolation) {
+  // A trade whose account does not exist: the CA_C_ID tree cannot resolve
+  // it, so a transaction reading it violates Definition 7 even when it is
+  // the transaction's only covered access.
+  const TupleId dangling =
+      fixture_.db->MustInsert("TRADE", {int64_t(99), int64_t(404), int64_t(1)});
+  Trace trace = testing::MakeCustInfoTrace(fixture_, 10);
+  for (size_t i = 0; i < 2; ++i) {
+    trace.mutable_transactions()[i].accesses.clear();
+    trace.mutable_transactions()[i].Read(dangling);
+  }
+  auto result = Partition(graph_, trace, "CustInfo");
+  ASSERT_EQ(result.total_solutions.size(), 1u);
+  const ClassSolution& sol = result.total_solutions[0];
+  EXPECT_EQ(sol.tier, SolutionTier::kQuasiIndependent);
+
+  // Phase 2's fit scan agrees with the reference scan over the train split.
+  const FlatTrace flat = FlatTrace::FromTrace(trace);
+  const TraceView train =
+      TraceView(&flat).SplitTrainTest(ClassPartitionerOptions().holdout_fraction).first;
+  JoinPathResolver resolver(fixture_.db.get());
+  const TreeFit fit = MeasureTreeFit(*fixture_.db, sol.tree, train, &resolver);
+  EXPECT_GT(fit.violations, 0u);
+  EXPECT_EQ(sol.violation_fraction, fit.violation_fraction());
 }
 
 TEST_F(ClassPartitionerTest, StrictModeRejectsViolations) {
@@ -93,7 +137,7 @@ TEST_F(ClassPartitionerTest, StrictModeRejectsViolations) {
   ClassPartitionerOptions opt;
   opt.quasi_tolerance = 0.0;
   opt.enable_stats_fallback = false;
-  auto result = MakePartitioner(opt).Partition(graph_, trace, "CustInfo", 0, 1.0);
+  auto result = Partition(graph_, trace, "CustInfo", opt);
   EXPECT_TRUE(result.total_solutions.empty());
   EXPECT_FALSE(result.partitionable());
 }
@@ -132,7 +176,7 @@ TEST(StatsFallbackTest, LearnsHiddenClusters) {
   graph.tables = {rows};
   graph.partitioned_tables = {rows};
   graph.candidate_attrs = {ColumnRef{rows, 0}};
-  auto result = partitioner.Partition(graph, trace, "Paired", 0, 1.0);
+  auto result = PartitionTrace(&db, partitioner, graph, trace, "Paired");
   ASSERT_EQ(result.total_solutions.size(), 1u);
   const ClassSolution& sol = result.total_solutions[0];
   EXPECT_EQ(sol.tier, SolutionTier::kStatistics);
@@ -156,7 +200,7 @@ TEST_F(ClassPartitionerTest, PartialSolutionsFromSubsets) {
   }
   g.active_fks = kept;
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(g, trace, "CustInfo", 0, 1.0);
+  auto result = Partition(g, trace, "CustInfo");
   EXPECT_TRUE(result.total_solutions.empty());
   ASSERT_GE(result.partial_solutions.size(), 2u);
   for (const auto& p : result.partial_solutions) {
@@ -169,7 +213,7 @@ TEST_F(ClassPartitionerTest, ReadOnlyClassFlagged) {
   TableId cust = schema().FindTable("CUSTOMER").value();
   empty.tables = {cust};
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(empty, trace, "RO", 0, 1.0);
+  auto result = Partition(empty, trace, "RO");
   EXPECT_TRUE(result.read_only);
   EXPECT_FALSE(result.partitionable());
 }
@@ -189,7 +233,7 @@ TEST_F(ClassPartitionerTest, CoarserTreeEliminated) {
   g.tables.insert(schema().FindTable("CUSTOMER").value());
   g.candidate_attrs.insert(Ref("CUSTOMER.C_TAX_ID"));
   Trace trace = testing::MakeCustInfoTrace(fixture_);
-  auto result = MakePartitioner().Partition(g, trace, "CustInfo", 0, 1.0);
+  auto result = Partition(g, trace, "CustInfo");
   ASSERT_EQ(result.total_solutions.size(), 1u);
   // The surviving root must NOT be the coarser C_TAX_ID.
   EXPECT_FALSE(result.total_solutions[0].tree.root == Ref("CUSTOMER.C_TAX_ID"));

@@ -1,9 +1,9 @@
 // Delta evaluation contract (partition/delta_evaluator.h): the incremental
 // result must be bit-identical to a full Evaluate() of the candidate — for
 // empty affected sets, across the >8-distinct-partition heap spill, through
-// repeated apply/revert round-trips, at every thread count, and under every
-// scan kernel. Most tests additionally run with set_self_check(true), which
-// re-proves the identity inside the evaluator on every candidate.
+// repeated apply/revert round-trips, and at every thread count. Most tests
+// additionally run with set_self_check(true), which re-proves the identity
+// inside the evaluator on every candidate.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,14 +12,11 @@
 
 #include "common/thread_pool.h"
 #include "horticulture/horticulture.h"
-#include "jecb/jecb.h"
 #include "partition/delta_evaluator.h"
 #include "partition/evaluator.h"
-#include "partition/partition_scan.h"
 #include "test_util.h"
 #include "trace/flat_trace.h"
 #include "workloads/tatp.h"
-#include "workloads/tpcc.h"
 
 namespace jecb {
 namespace {
@@ -191,106 +188,34 @@ TEST(DeltaEvalTest, RepeatedApplyRevertRoundTripsAreExact) {
   }
 }
 
-TEST(DeltaEvalTest, ScalarAndSimdKernelsAreBitIdentical) {
-  TpccConfig cfg;
-  cfg.warehouses = 4;
-  cfg.districts_per_warehouse = 2;
-  cfg.customers_per_district = 6;
-  cfg.items = 30;
-  cfg.initial_orders_per_district = 2;
-  WorkloadBundle bundle = TpccWorkload(cfg).Make(8000, 7);
-  FlatTrace flat = FlatTrace::FromTrace(bundle.trace);
-
-  DatabaseSolution solution = MakeNaiveHashSolution(*bundle.db, 8);
-  EvalResult scalar =
-      Evaluate(*bundle.db, solution, flat, nullptr, ScanKernel::kScalar);
-  EXPECT_GT(scalar.distributed_txns, 0u);
-  // Unsupported kernels clamp to the best available one, so requesting
-  // kSse2/kAvx2 is safe on any host; on x86-64 both run their vector paths.
-  for (ScanKernel k : {ScanKernel::kSse2, ScanKernel::kAvx2, ScanKernel::kAuto}) {
-    ExpectEvalEqual(Evaluate(*bundle.db, solution, flat, nullptr, k), scalar);
-  }
-  // And with a pool: chunk merging is kernel-independent.
-  ThreadPool pool(4);
-  for (ScanKernel k : {ScanKernel::kScalar, ScanKernel::kAuto}) {
-    ExpectEvalEqual(Evaluate(*bundle.db, solution, flat, &pool, k), scalar);
-  }
-}
-
-/// Full-pipeline determinism on TPC-C: delta+SIMD on, across 1/4/8 threads,
-/// against the non-delta scalar reference.
-TEST(DeltaPipelineTest, JecbTpccDeterministicAcrossThreadsAndModes) {
-  TpccConfig cfg;
-  cfg.warehouses = 4;
-  cfg.districts_per_warehouse = 2;
-  cfg.customers_per_district = 6;
-  cfg.items = 30;
-  cfg.initial_orders_per_district = 2;
-  WorkloadBundle bundle = TpccWorkload(cfg).Make(6000, 7);
-
-  auto run_with = [&](int32_t threads, bool delta, bool simd) {
-    JecbOptions opt;
-    opt.num_partitions = 8;
-    opt.num_threads = threads;
-    opt.delta = delta;
-    opt.simd = simd;
-    Result<JecbResult> res =
-        Jecb(opt).Partition(bundle.db.get(), bundle.procedures, bundle.trace);
-    EXPECT_TRUE(res.ok()) << res.status().ToString();
-    return res.value();
-  };
-
-  JecbResult ref = run_with(1, false, false);
-  const std::string ref_tables = ref.solution.Describe(bundle.db->schema());
-  EXPECT_FALSE(ref.combiner_report.chosen_attr.empty());
-  struct Mode {
-    int32_t threads;
-    bool delta, simd;
-  };
-  for (Mode m : {Mode{1, true, true}, Mode{4, true, true}, Mode{8, true, true},
-                 Mode{4, true, false}, Mode{4, false, true}}) {
-    JecbResult got = run_with(m.threads, m.delta, m.simd);
-    EXPECT_EQ(got.solution.Describe(bundle.db->schema()), ref_tables)
-        << "threads=" << m.threads << " delta=" << m.delta << " simd=" << m.simd;
-    EXPECT_EQ(got.combiner_report.chosen_attr, ref.combiner_report.chosen_attr);
-    EXPECT_EQ(got.combiner_report.evaluated_combinations,
-              ref.combiner_report.evaluated_combinations);
-    EXPECT_EQ(got.combiner_report.best_train_cost,
-              ref.combiner_report.best_train_cost);
-  }
-}
-
-/// Same contract for the Horticulture LNS on TATP: the whole search
-/// trajectory (final design, costs, evaluation count) must be identical
-/// with and without delta scoring, at 1/4/8 threads.
+/// The Horticulture LNS on TATP scores every trial through the delta
+/// evaluator with the self-check on (each trial re-proved against a full
+/// Evaluate). Its whole search trajectory — final design, costs, evaluation
+/// count — is pinned to the values of the full-Evaluate LNS, at 1/4/8
+/// threads.
 TEST(DeltaPipelineTest, HorticultureTatpDeterministicAcrossThreadsAndModes) {
   TatpConfig cfg;
   WorkloadBundle bundle = TatpWorkload(cfg).Make(4000, 13);
 
-  auto run_with = [&](int32_t threads, bool delta) {
+  for (int32_t threads : {1, 4, 8}) {
     HorticultureOptions opt;
     opt.num_partitions = 8;
     opt.num_threads = threads;
     opt.rounds = 6;
     opt.sample_txns = 2000;
-    opt.delta = delta;
-    opt.delta_self_check = delta;
-    Result<HorticultureResult> res =
+    opt.delta_self_check = true;
+    Result<HorticultureResult> got =
         Horticulture(opt).Partition(bundle.db.get(), bundle.trace);
-    EXPECT_TRUE(res.ok()) << res.status().ToString();
-    return res;
-  };
-
-  Result<HorticultureResult> ref = run_with(1, false);
-  const std::string ref_tables =
-      ref.value().solution.Describe(bundle.db->schema());
-  for (int32_t threads : {1, 4, 8}) {
-    Result<HorticultureResult> got = run_with(threads, true);
-    EXPECT_EQ(got.value().solution.Describe(bundle.db->schema()), ref_tables)
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().solution.Describe(bundle.db->schema()),
+              "  SUBSCRIBER: SUBSCRIBER.S_ID via hash\n"
+              "  ACCESS_INFO: replicated\n"
+              "  SPECIAL_FACILITY: SPECIAL_FACILITY.SF_S_ID via hash\n"
+              "  CALL_FORWARDING: CALL_FORWARDING.CF_S_ID via hash\n")
         << "threads=" << threads;
-    EXPECT_EQ(got.value().train_cost, ref.value().train_cost);
-    EXPECT_EQ(got.value().model_cost, ref.value().model_cost);
-    EXPECT_EQ(got.value().evaluations, ref.value().evaluations);
+    EXPECT_EQ(got.value().train_cost, 0.0);
+    EXPECT_EQ(got.value().model_cost, 0.0);
+    EXPECT_EQ(got.value().evaluations, 53);
   }
 }
 

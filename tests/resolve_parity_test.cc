@@ -4,9 +4,13 @@
 // (TPC-C) and multi-hop (TPC-E) join paths, a dangling foreign key, a
 // replicated table, and the naive-hash CallbackPartitioner. Phase 3 scores
 // combinations with exactly this resolve, so the second half pins
-// Jecb::Partition's solution, training EvalResult and CombinerReport on
-// three workloads to the values the pipeline produced when Phase 3 still
-// scored through delta evaluation over the memo.
+// Jecb::Partition's Phase-2 per-class results, solution, training
+// EvalResult and CombinerReport at 1/4/8 threads on four configurations.
+// The pins are the answers every earlier pipeline variant agreed on: the
+// row-oriented Phase-2 scan, the non-incremental fit scan, the SIMD scan
+// kernels, and Phase 3 scored through delta evaluation over the memo. The
+// last part checks the incremental Phase-2 fit scan against the plain
+// Definition-7 reference, MeasureTreeFit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +21,7 @@
 #include "common/thread_pool.h"
 #include "jecb/jecb.h"
 #include "partition/evaluator.h"
+#include "partition/join_path_resolver.h"
 #include "test_util.h"
 #include "trace/flat_trace.h"
 #include "workloads/tpcc.h"
@@ -77,9 +82,10 @@ size_t MaxHops(const DatabaseSolution& solution) {
   return hops;
 }
 
-JecbResult PartitionOrDie(WorkloadBundle* bundle, int32_t threads) {
+JecbResult PartitionOrDie(WorkloadBundle* bundle, int32_t threads,
+                          int32_t partitions = 4) {
   JecbOptions opt;
-  opt.num_partitions = 4;
+  opt.num_partitions = partitions;
   opt.num_threads = threads;
   Result<JecbResult> res =
       Jecb(opt).Partition(bundle->db.get(), bundle->procedures, bundle->trace);
@@ -154,16 +160,47 @@ TEST(ResolveParityTest, NaiveHashCallbackPartitioner) {
 
 // ---- Pinned Jecb::Partition outcomes ---------------------------------------
 
+/// One Phase-2 solution, in class order, totals before partials.
+struct PinnedSolution {
+  std::string class_name;
+  bool total = false;
+  SolutionTier tier = SolutionTier::kMappingIndependent;
+  double violation_fraction = 0.0;
+  double class_cost = 0.0;
+};
+
 struct Pinned {
   std::string describe;
   EvalResult eval;
   CombinerReport report;
+  std::string class_table;  // FormatClassSolutions
+  std::vector<PinnedSolution> solutions;
 };
 
-void ExpectPinned(WorkloadBundle bundle, const Pinned& want) {
-  for (int32_t threads : {1, 4}) {
+void ExpectPinned(WorkloadBundle bundle, const Pinned& want, int32_t partitions = 4) {
+  for (int32_t threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const JecbResult got = PartitionOrDie(&bundle, threads);
+    const JecbResult got = PartitionOrDie(&bundle, threads, partitions);
+    EXPECT_EQ(FormatClassSolutions(bundle.db->schema(), got.classes), want.class_table);
+    std::vector<PinnedSolution> solutions;
+    for (const ClassPartitioningResult& cls : got.classes) {
+      for (const auto* sols : {&cls.total_solutions, &cls.partial_solutions}) {
+        for (const ClassSolution& sol : *sols) {
+          solutions.push_back({cls.class_name, sol.total, sol.tier,
+                               sol.violation_fraction, sol.class_cost});
+        }
+      }
+    }
+    ASSERT_EQ(solutions.size(), want.solutions.size());
+    for (size_t i = 0; i < solutions.size(); ++i) {
+      SCOPED_TRACE("solution " + std::to_string(i) + " of " + solutions[i].class_name);
+      EXPECT_EQ(solutions[i].class_name, want.solutions[i].class_name);
+      EXPECT_EQ(solutions[i].total, want.solutions[i].total);
+      EXPECT_EQ(solutions[i].tier, want.solutions[i].tier);
+      EXPECT_EQ(solutions[i].violation_fraction, want.solutions[i].violation_fraction);
+      EXPECT_EQ(solutions[i].class_cost, want.solutions[i].class_cost);
+    }
+
     EXPECT_EQ(got.solution.Describe(bundle.db->schema()), want.describe);
     const EvalResult eval =
         Evaluate(*bundle.db, got.solution, FlatTrace::FromTrace(bundle.trace));
@@ -183,6 +220,14 @@ void ExpectPinned(WorkloadBundle bundle, const Pinned& want) {
   }
 }
 
+/// `n` mapping-independent solutions of `cls` with the given totality.
+void AddIndependent(std::vector<PinnedSolution>* out, const std::string& cls,
+                    bool total, int n) {
+  for (int i = 0; i < n; ++i) {
+    out->push_back({cls, total, SolutionTier::kMappingIndependent, 0.0, 0.0});
+  }
+}
+
 const char* const kTpccTables =
     "  WAREHOUSE: WAREHOUSE.W_ID via hash\n"
     "  DISTRICT: DISTRICT.D_W_ID via hash\n"
@@ -198,13 +243,52 @@ const std::vector<std::string> kTpccCandidates = {
     "WAREHOUSE.W_ID", "DISTRICT.D_ID", "CUSTOMER.C_ID", "ORDERS.O_ID",
     "STOCK.S_QUANTITY"};
 
+/// Phase 2 of the default TPC-C config, at either partition count.
+void SetTpccClasses(Pinned* want) {
+  want->class_table =
+      R"(+-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+| Transaction class | Mix   | Total solutions          | Partial solutions                                                                              |
++-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+| NewOrder          | 44.5% | W_ID (quasi-independent) | D_ID or C_D_ID or C_ID or O_D_ID or O_ID or O_C_ID or NO_D_ID or NO_O_ID or OL_D_ID or OL_O_ID |
+| Payment           | 43.6% | W_ID (quasi-independent) | C_D_ID or C_ID or H_ID                                                                         |
+| OrderStatus       | 3.8%  | C_W_ID or C_D_ID         | O_ID or O_C_ID or OL_O_ID                                                                      |
+| Delivery          | 4.0%  | C_W_ID                   | O_ID or NO_O_ID or OL_O_ID                                                                     |
+| StockLevel        | 4.0%  | No                       | D_W_ID or D_ID or OL_W_ID or OL_D_ID or S_W_ID or S_QUANTITY                                   |
++-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+)";
+  std::vector<PinnedSolution>& s = want->solutions;
+  s.push_back({"NewOrder", true, SolutionTier::kQuasiIndependent, 0.087339743589743585,
+               0.087339743589743585});
+  AddIndependent(&s, "NewOrder", false, 10);
+  s.push_back({"Payment", true, SolutionTier::kQuasiIndependent, 0.15315315315315314,
+               0.15315315315315314});
+  AddIndependent(&s, "Payment", false, 3);
+  AddIndependent(&s, "OrderStatus", true, 2);
+  AddIndependent(&s, "OrderStatus", false, 3);
+  AddIndependent(&s, "Delivery", true, 1);
+  AddIndependent(&s, "Delivery", false, 3);
+  AddIndependent(&s, "StockLevel", false, 6);
+}
+
 TEST(PartitionPinTest, Tpcc) {
   Pinned want;
   want.describe = kTpccTables;
   want.eval = {4000, 339, {1782, 1744, 153, 161, 160}, {129, 210, 0, 0, 0}, 680,
                {2153, 0, 1080, 1108}};
   want.report = {45000, 5, kTpccCandidates, "WAREHOUSE.W_ID", 0.084750000000000006, {}};
+  SetTpccClasses(&want);
   ExpectPinned(TpccWorkload(SmallTpcc()).Make(4000, 7), want);
+}
+
+// The same trace at 8 partitions: Phase 2 does not change, Phase 3's costs do.
+TEST(PartitionPinTest, TpccEightPartitions) {
+  Pinned want;
+  want.describe = kTpccTables;
+  want.eval = {4000, 412, {1782, 1744, 153, 161, 160}, {153, 259, 0, 0, 0}, 827,
+               {1107, 0, 0, 0, 1120, 0, 1080, 1108}};
+  want.report = {45000, 5, kTpccCandidates, "WAREHOUSE.W_ID", 0.10299999999999999, {}};
+  SetTpccClasses(&want);
+  ExpectPinned(TpccWorkload(SmallTpcc()).Make(4000, 7), want, /*partitions=*/8);
 }
 
 TEST(PartitionPinTest, TpccRemotePayments) {
@@ -216,6 +300,27 @@ TEST(PartitionPinTest, TpccRemotePayments) {
   want.eval = {4000, 1893, {1780, 1756, 159, 154, 151}, {137, 1756, 0, 0, 0}, 2449,
                {2273, 0, 1127, 1156}};
   want.report = {9000, 5, kTpccCandidates, "WAREHOUSE.W_ID", 0.47325, {"HISTORY"}};
+  // ... and leave Payment with no Phase-2 solution at all.
+  want.class_table =
+      R"(+-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+| Transaction class | Mix   | Total solutions          | Partial solutions                                                                              |
++-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+| NewOrder          | 44.5% | W_ID (quasi-independent) | D_ID or C_D_ID or C_ID or O_D_ID or O_ID or O_C_ID or NO_D_ID or NO_O_ID or OL_D_ID or OL_O_ID |
+| Payment           | 43.9% | No                       | No                                                                                             |
+| OrderStatus       | 4.0%  | C_W_ID or C_D_ID         | O_ID or O_C_ID or OL_O_ID                                                                      |
+| Delivery          | 3.9%  | C_W_ID                   | O_ID or NO_O_ID or OL_O_ID                                                                     |
+| StockLevel        | 3.8%  | No                       | D_W_ID or D_ID or OL_W_ID or OL_D_ID or S_W_ID or S_QUANTITY                                   |
++-------------------+-------+--------------------------+------------------------------------------------------------------------------------------------+
+)";
+  std::vector<PinnedSolution>& s = want.solutions;
+  s.push_back({"NewOrder", true, SolutionTier::kQuasiIndependent, 0.093825180433039293,
+               0.093825180433039293});
+  AddIndependent(&s, "NewOrder", false, 10);
+  AddIndependent(&s, "OrderStatus", true, 2);
+  AddIndependent(&s, "OrderStatus", false, 3);
+  AddIndependent(&s, "Delivery", true, 1);
+  AddIndependent(&s, "Delivery", false, 3);
+  AddIndependent(&s, "StockLevel", false, 6);
   ExpectPinned(TpccWorkload(SmallTpcc(0.3)).Make(4000, 7), want);
 }
 
@@ -270,7 +375,84 @@ TEST(PartitionPinTest, Tpce) {
                  "CUSTOMER_ACCOUNT.CA_C_ID",
                  0.21675,
                  {"BROKER"}};
+  want.class_table =
+      R"(+-------------------+-------+-----------------+-------------------------------------------------------------------------------------------------------------------------+
+| Transaction class | Mix   | Total solutions | Partial solutions                                                                                                       |
++-------------------+-------+-----------------+-------------------------------------------------------------------------------------------------------------------------+
+| BrokerVolume      | 5.1%  | No              | No                                                                                                                      |
+| CustomerPosition  | 12.7% | CA_C_ID         | No                                                                                                                      |
+| MarketFeed        | 1.1%  | No              | No                                                                                                                      |
+| MarketWatch       | 17.7% | HS_CA_ID        | No                                                                                                                      |
+| SecurityDetail    | 13.5% | Read-only       | Read-only                                                                                                               |
+| TradeLookupFrame1 | 2.3%  | No              | No                                                                                                                      |
+| TradeLookupFrame2 | 2.7%  | T_CA_ID         | No                                                                                                                      |
+| TradeLookupFrame3 | 2.3%  | T_S_SYMB        | No                                                                                                                      |
+| TradeLookupFrame4 | 0.6%  | T_ID            | No                                                                                                                      |
+| TradeOrder        | 10.8% | B_ID            | CA_ID or T_ID or TH_T_ID or TR_T_ID                                                                                     |
+| TradeResult       | 10.0% | B_ID            | CA_ID or T_CA_ID or TH_T_ID or SE_T_ID or TR_T_ID or CT_T_ID or H_T_ID or HH_H_T_ID or HH_T_ID or HS_CA_ID or HS_S_SYMB |
+| TradeStatus       | 19.4% | B_ID            | CA_ID or T_CA_ID                                                                                                        |
+| TradeUpdateFrame1 | 0.6%  | No              | No                                                                                                                      |
+| TradeUpdateFrame2 | 0.7%  | T_CA_ID         | No                                                                                                                      |
+| TradeUpdateFrame3 | 0.7%  | T_S_SYMB        | No                                                                                                                      |
++-------------------+-------+-----------------+-------------------------------------------------------------------------------------------------------------------------+
+)";
+  // Every TPC-E solution here is exactly mapping-independent.
+  std::vector<PinnedSolution>& s = want.solutions;
+  AddIndependent(&s, "CustomerPosition", true, 1);
+  AddIndependent(&s, "MarketWatch", true, 1);
+  AddIndependent(&s, "TradeLookupFrame2", true, 1);
+  AddIndependent(&s, "TradeLookupFrame3", true, 1);
+  AddIndependent(&s, "TradeLookupFrame4", true, 2);
+  AddIndependent(&s, "TradeOrder", true, 1);
+  AddIndependent(&s, "TradeOrder", false, 4);
+  AddIndependent(&s, "TradeResult", true, 1);
+  AddIndependent(&s, "TradeResult", false, 12);
+  AddIndependent(&s, "TradeStatus", true, 1);
+  AddIndependent(&s, "TradeStatus", false, 2);
+  AddIndependent(&s, "TradeUpdateFrame2", true, 1);
+  AddIndependent(&s, "TradeUpdateFrame3", true, 1);
   ExpectPinned(TpceWorkload(SmallTpce()).Make(4000, 7), want);
+}
+
+// ---- Phase-2 fit scan vs. the Definition-7 reference -----------------------
+
+/// Phase 2 measures every tree with the incremental fit scan (path-set memo
+/// plus class-local value ids). Each mapping-independent or
+/// quasi-independent solution records that scan's violation fraction over
+/// its class's train split; the plain reference scan, MeasureTreeFit, must
+/// reproduce it exactly. Returns the number of quasi-independent solutions
+/// checked.
+size_t ExpectFitsMatchReference(WorkloadBundle bundle) {
+  const JecbResult result = PartitionOrDie(&bundle, 4);
+  const FlatTrace flat = FlatTrace::FromTrace(bundle.trace);
+  const double holdout = JecbOptions().class_partitioner.holdout_fraction;
+  size_t checked = 0;
+  size_t quasi = 0;
+  for (const ClassPartitioningResult& cls : result.classes) {
+    const TraceView train =
+        TraceView(&flat).FilterClass(cls.class_id).SplitTrainTest(holdout).first;
+    JoinPathResolver resolver(bundle.db.get());
+    for (const auto* sols : {&cls.total_solutions, &cls.partial_solutions}) {
+      for (const ClassSolution& sol : *sols) {
+        if (sol.tier == SolutionTier::kStatistics) continue;
+        const TreeFit fit = MeasureTreeFit(*bundle.db, sol.tree, train, &resolver);
+        EXPECT_GT(fit.txns, 0u) << cls.class_name;
+        EXPECT_EQ(fit.violation_fraction(), sol.violation_fraction) << cls.class_name;
+        ++checked;
+        if (sol.tier == SolutionTier::kQuasiIndependent) ++quasi;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  return quasi;
+}
+
+TEST(PhaseTwoFitTest, TpccMatchesReferenceScan) {
+  EXPECT_EQ(ExpectFitsMatchReference(TpccWorkload(SmallTpcc()).Make(4000, 7)), 2u);
+}
+
+TEST(PhaseTwoFitTest, TpceMatchesReferenceScan) {
+  ExpectFitsMatchReference(TpceWorkload(SmallTpce()).Make(4000, 7));
 }
 
 }  // namespace
